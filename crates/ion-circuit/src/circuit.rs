@@ -67,6 +67,17 @@ impl Circuit {
         Self::try_new(name, num_qubits).expect("circuit must have at least one qubit")
     }
 
+    /// A named circuit owning `gates` as they are (no copy, no checks): the
+    /// QASM parser's hand-off. `num_qubits` must be non-zero.
+    pub(crate) fn from_parts(name: &str, num_qubits: usize, gates: Vec<Gate>) -> Self {
+        debug_assert!(num_qubits > 0, "circuit must have at least one qubit");
+        Circuit {
+            name: name.to_string(),
+            num_qubits,
+            gates,
+        }
+    }
+
     /// The circuit's human-readable name (e.g. `"Adder_32"`).
     pub fn name(&self) -> &str {
         &self.name

@@ -13,6 +13,11 @@
 //! bounds register width, gate count and expression nesting so adversarial
 //! input cannot exhaust memory or the stack.
 //!
+//! Parsing costs one pass over the source bytes into a buffer of `Copy`
+//! tokens that borrow the text, then one pass over that buffer; a valid
+//! statement allocates nothing beyond its gates' slots in the circuit
+//! (a `barrier` also owns its qubit list).
+//!
 //! ```
 //! use ion_circuit::qasm;
 //!
@@ -62,6 +67,5 @@ mod lexer;
 mod parser;
 mod writer;
 
-pub use lexer::{Token, TokenKind};
 pub use parser::{parse, parse_with_limits, Diagnostic, DiagnosticKind, ParseLimits, QasmError};
 pub use writer::to_qasm;

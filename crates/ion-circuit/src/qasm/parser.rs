@@ -10,7 +10,6 @@
 
 // lint: no-panic
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::f64::consts::PI;
 use std::fmt;
@@ -272,12 +271,29 @@ pub fn parse(source: &str) -> Result<Circuit, QasmError> {
 
 /// [`parse`] with caller-chosen [`ParseLimits`].
 pub fn parse_with_limits(source: &str, limits: &ParseLimits) -> Result<Circuit, QasmError> {
-    let (tokens, lex_diagnostics) = lex(source);
-    let mut parser = Parser::new(tokens, lex_diagnostics, limits);
-    let result = parser.parse();
-    match result {
-        Ok(circuit) if parser.diagnostics.is_empty() => Ok(circuit),
-        _ => {
+    // Every lexer diagnostic is collected before the first statement parses:
+    // they count towards `max_diagnostics`, which aborts parsing when hit.
+    let mut tokens = Vec::new();
+    let mut diagnostics = Vec::new();
+    lex(source, &mut tokens, &mut diagnostics);
+    let mut parser = Parser {
+        tokens: &tokens,
+        pos: 0,
+        limits,
+        diagnostics,
+        qregs: Vec::new(),
+        total_qubits: 0,
+        gates: Vec::new(),
+        operands: Vec::new(),
+        params: Vec::new(),
+    };
+    match parser.parse() {
+        Ok(()) => Ok(Circuit::from_parts(
+            "qasm",
+            parser.total_qubits,
+            parser.gates,
+        )),
+        Err(()) => {
             let mut diagnostics = parser.diagnostics;
             diagnostics.sort_by_key(|d| (d.line, d.col));
             attach_snippets(&mut diagnostics, source);
@@ -296,46 +312,64 @@ fn attach_snippets(diagnostics: &mut [Diagnostic], source: &str) {
     }
 }
 
-struct Parser<'a> {
-    tokens: Vec<Token>,
-    pos: usize,
-    limits: &'a ParseLimits,
-    diagnostics: Vec<Diagnostic>,
-    /// name -> (offset, size)
-    qregs: HashMap<String, (usize, usize)>,
-    total_qubits: usize,
-    gates: Vec<Gate>,
+/// One gate operand: a single qubit (`q[i]`) or a whole register (`q`),
+/// which broadcasts the gate over the register's qubits.
+#[derive(Clone, Copy)]
+enum Operand {
+    One(QubitId),
+    Reg { offset: usize, size: usize },
 }
 
-impl<'a> Parser<'a> {
-    fn new(tokens: Vec<Token>, lex_diagnostics: Vec<Diagnostic>, limits: &'a ParseLimits) -> Self {
-        Parser {
-            tokens,
-            pos: 0,
-            limits,
-            diagnostics: lex_diagnostics,
-            qregs: HashMap::new(),
-            total_qubits: 0,
-            gates: Vec::new(),
+impl Operand {
+    fn len(self) -> usize {
+        match self {
+            Operand::One(_) => 1,
+            Operand::Reg { size, .. } => size,
         }
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+    /// The qubit this operand contributes to broadcast step `i` (a
+    /// single-qubit operand repeats; registers are never empty).
+    fn pick(self, i: usize) -> QubitId {
+        match self {
+            Operand::One(q) => q,
+            Operand::Reg { offset, size } => QubitId::new(offset + i.min(size.saturating_sub(1))),
+        }
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
+    /// Every qubit the operand names, in register order.
+    fn qubits(self) -> impl Iterator<Item = QubitId> {
+        (0..self.len()).map(move |i| self.pick(i))
+    }
+}
+
+struct Parser<'a, 's> {
+    tokens: &'s [Token<'a>],
+    pos: usize,
+    limits: &'s ParseLimits,
+    diagnostics: Vec<Diagnostic>,
+    /// `(name, offset, size)` of each `qreg`, sorted by name.
+    qregs: Vec<(&'a str, usize, usize)>,
+    total_qubits: usize,
+    gates: Vec<Gate>,
+    /// The current statement's operands and parameters (reused buffers).
+    operands: Vec<Operand>,
+    params: Vec<f64>,
+}
+
+impl<'a> Parser<'a, '_> {
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).copied()
+    }
+
+    fn peek_is(&self, kind: TokenKind<'_>) -> bool {
+        self.peek().is_some_and(|t| t.kind == kind)
+    }
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
+        self.pos += usize::from(t.is_some());
         t
-    }
-
-    /// Position (line, col) for end-of-input diagnostics: the last token if
-    /// any, else unknown (0, 0).
-    fn eof_pos(&self) -> (usize, usize) {
-        self.tokens.last().map_or((0, 0), |t| (t.line, t.col))
     }
 
     fn diag_at(&self, kind: DiagnosticKind, line: usize, col: usize) -> Diagnostic {
@@ -347,12 +381,14 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// End-of-input diagnostic, positioned at the last token if any, else
+    /// unknown (0, 0).
     fn eof_diag(&self) -> Diagnostic {
-        let (line, col) = self.eof_pos();
+        let (line, col) = self.tokens.last().map_or((0, 0), |t| (t.line, t.col));
         self.diag_at(DiagnosticKind::UnexpectedEof, line, col)
     }
 
-    fn unexpected(&self, token: &Token, expected: &'static str) -> Diagnostic {
+    fn unexpected(&self, token: Token<'_>, expected: &'static str) -> Diagnostic {
         self.diag_at(
             DiagnosticKind::Unexpected {
                 found: token.kind.to_string(),
@@ -361,6 +397,19 @@ impl<'a> Parser<'a> {
             token.line,
             token.col,
         )
+    }
+
+    /// Consumes the next token, which must be of `kind`.
+    fn expect_kind(
+        &mut self,
+        kind: TokenKind<'_>,
+        expected: &'static str,
+    ) -> Result<(), Diagnostic> {
+        match self.next() {
+            Some(t) if t.kind == kind => Ok(()),
+            Some(t) => Err(self.unexpected(t, expected)),
+            None => Err(self.eof_diag()),
+        }
     }
 
     fn report(&mut self, diag: Diagnostic) {
@@ -376,17 +425,6 @@ impl<'a> Parser<'a> {
         self.diagnostics.len() >= self.limits.max_diagnostics
     }
 
-    fn expect_semicolon(&mut self) -> Result<(), Diagnostic> {
-        match self.next() {
-            Some(Token {
-                kind: TokenKind::Semicolon,
-                ..
-            }) => Ok(()),
-            Some(t) => Err(self.unexpected(&t, ";")),
-            None => Err(self.eof_diag()),
-        }
-    }
-
     fn skip_to_semicolon(&mut self) {
         while let Some(t) = self.next() {
             if t.kind == TokenKind::Semicolon {
@@ -399,18 +437,14 @@ impl<'a> Parser<'a> {
     /// token just consumed already was a semicolon (the error was *at* the
     /// boundary), nothing more is skipped.
     fn recover_to_statement(&mut self) {
-        if self.pos > 0
+        let at_boundary = self.pos > 0
             && matches!(
                 self.tokens.get(self.pos - 1),
-                Some(Token {
-                    kind: TokenKind::Semicolon,
-                    ..
-                })
-            )
-        {
-            return;
+                Some(t) if t.kind == TokenKind::Semicolon
+            );
+        if !at_boundary {
+            self.skip_to_semicolon();
         }
-        self.skip_to_semicolon();
     }
 
     fn skip_block_or_statement(&mut self) {
@@ -431,20 +465,19 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse(&mut self) -> Result<Circuit, ()> {
-        while let Some(token) = self.peek().cloned() {
+    fn parse(&mut self) -> Result<(), ()> {
+        while let Some(token) = self.peek() {
             if self.capped() {
                 return Err(());
             }
-            if let Err(diag) = self.parse_statement(&token) {
+            if let Err(diag) = self.parse_statement(token) {
                 self.report(diag);
                 self.recover_to_statement();
             }
             if self.gates.len() > self.limits.max_gates {
+                let max_gates = self.limits.max_gates;
                 let diag = self.diag_at(
-                    DiagnosticKind::TooManyGates {
-                        max_gates: self.limits.max_gates,
-                    },
+                    DiagnosticKind::TooManyGates { max_gates },
                     token.line,
                     token.col,
                 );
@@ -461,57 +494,60 @@ impl<'a> Parser<'a> {
             }
             return Err(());
         }
-        if !self.diagnostics.is_empty() {
-            return Err(());
+        if self.diagnostics.is_empty() {
+            Ok(())
+        } else {
+            Err(())
         }
-        let mut circuit = Circuit::with_name("qasm", self.total_qubits);
-        circuit.extend(std::mem::take(&mut self.gates));
-        Ok(circuit)
     }
 
-    fn parse_statement(&mut self, token: &Token) -> Result<(), Diagnostic> {
-        match &token.kind {
-            TokenKind::Ident(word) => match word.as_str() {
-                "OPENQASM" | "include" | "creg" => {
-                    self.skip_to_semicolon();
-                    Ok(())
-                }
-                "gate" | "opaque" => {
-                    self.skip_block_or_statement();
-                    Ok(())
-                }
-                "if" => {
-                    // `if (c==0) gate ...;` — drop the condition, keep nothing
-                    // (conditioned gates are rare in the benchmarks and do not
-                    // change shuttle scheduling structure).
-                    self.skip_to_semicolon();
-                    Ok(())
-                }
-                "qreg" => {
-                    self.next();
-                    self.parse_qreg(token.line)
-                }
-                "measure" => {
-                    self.next();
-                    self.parse_measure(token.line)
-                }
-                "barrier" => {
-                    self.next();
-                    self.parse_barrier(token.line)
-                }
-                _ => {
-                    let word = word.clone();
-                    self.next();
-                    self.parse_gate(&word, token.line, token.col)
-                }
-            },
+    fn parse_statement(&mut self, token: Token<'a>) -> Result<(), Diagnostic> {
+        let word = match token.kind {
+            TokenKind::Ident(word) => word,
             TokenKind::Semicolon => {
                 self.next();
+                return Ok(());
+            }
+            _ => {
+                self.next();
+                return Err(self.unexpected(token, "statement"));
+            }
+        };
+        match word {
+            // `if (c==0) gate ...;` drops the condition and keeps nothing
+            // (conditioned gates are rare in the benchmarks and do not change
+            // shuttle scheduling structure).
+            "OPENQASM" | "include" | "creg" | "if" => {
+                self.skip_to_semicolon();
+                Ok(())
+            }
+            "gate" | "opaque" => {
+                self.skip_block_or_statement();
+                Ok(())
+            }
+            "qreg" => {
+                self.next();
+                self.parse_qreg(token.line)
+            }
+            "measure" => {
+                // measure q[i] -> c[i]; | measure q -> c;
+                self.next();
+                let target = self.parse_argument()?;
+                // Skip everything up to the semicolon (the classical target).
+                self.skip_to_semicolon();
+                self.gates.extend(target.qubits().map(Gate::Measure));
+                Ok(())
+            }
+            "barrier" => {
+                self.next();
+                self.parse_operands()?;
+                let qubits = self.operands.iter().flat_map(|op| op.qubits());
+                self.gates.push(Gate::Barrier(qubits.collect()));
                 Ok(())
             }
             _ => {
                 self.next();
-                Err(self.unexpected(token, "statement"))
+                self.parse_gate(word, token.line, token.col)
             }
         }
     }
@@ -520,13 +556,9 @@ impl<'a> Parser<'a> {
     /// (register sizes and qubit indices). Values beyond `usize` saturate;
     /// callers apply their own range checks and limit diagnostics.
     fn expect_index(&mut self) -> Result<usize, Diagnostic> {
-        let token = match self.next() {
-            Some(t) => t,
-            None => return Err(self.eof_diag()),
-        };
-        let value = match token.kind {
-            TokenKind::Number(n) => n,
-            _ => return Err(self.unexpected(&token, "non-negative integer")),
+        let token = self.next().ok_or_else(|| self.eof_diag())?;
+        let TokenKind::Number(value) = token.kind else {
+            return Err(self.unexpected(token, "non-negative integer"));
         };
         if value.is_finite() && value.fract() == 0.0 && value >= 0.0 {
             // `as` saturates at usize::MAX for values beyond the type.
@@ -541,162 +573,126 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_qreg(&mut self, line: usize) -> Result<(), Diagnostic> {
-        let (name, name_col) = self.expect_ident()?;
+        let (name, name_col) = match self.next() {
+            Some(Token {
+                kind: TokenKind::Ident(name),
+                col,
+                ..
+            }) => (name, col),
+            Some(t) => return Err(self.unexpected(t, "identifier")),
+            None => return Err(self.eof_diag()),
+        };
         self.expect_kind(TokenKind::LBracket, "[")?;
         let size = self.expect_index()?;
         self.expect_kind(TokenKind::RBracket, "]")?;
-        self.expect_semicolon()?;
+        self.expect_kind(TokenKind::Semicolon, ";")?;
         if size == 0 {
+            let name = name.to_string();
             return Err(self.diag_at(DiagnosticKind::EmptyRegister { name }, line, name_col));
         }
         let requested = self.total_qubits.saturating_add(size);
         if requested > self.limits.max_qubits {
-            return Err(self.diag_at(
-                DiagnosticKind::RegisterTooWide {
-                    requested,
-                    max_qubits: self.limits.max_qubits,
-                },
-                line,
-                name_col,
-            ));
+            let max_qubits = self.limits.max_qubits;
+            let kind = DiagnosticKind::RegisterTooWide {
+                requested,
+                max_qubits,
+            };
+            return Err(self.diag_at(kind, line, name_col));
         }
-        if self.qregs.contains_key(&name) {
-            return Err(self.diag_at(DiagnosticKind::DuplicateRegister { name }, line, name_col));
+        match self.qregs.binary_search_by(|r| r.0.cmp(name)) {
+            Ok(_) => {
+                let name = name.to_string();
+                Err(self.diag_at(DiagnosticKind::DuplicateRegister { name }, line, name_col))
+            }
+            Err(slot) => {
+                self.qregs.insert(slot, (name, self.total_qubits, size));
+                self.total_qubits += size;
+                Ok(())
+            }
         }
-        self.qregs.insert(name, (self.total_qubits, size));
-        self.total_qubits += size;
-        Ok(())
     }
 
-    fn parse_measure(&mut self, _line: usize) -> Result<(), Diagnostic> {
-        // measure q[i] -> c[i]; | measure q -> c;
-        let targets = self.parse_argument()?;
-        // Skip everything up to the semicolon (the classical target).
-        self.skip_to_semicolon();
-        for q in targets {
-            self.gates.push(Gate::Measure(q));
-        }
-        Ok(())
-    }
-
-    fn parse_barrier(&mut self, _line: usize) -> Result<(), Diagnostic> {
-        let mut qubits = Vec::new();
+    /// Parses `arg (, arg)* ;` into the reused `operands` buffer.
+    fn parse_operands(&mut self) -> Result<(), Diagnostic> {
+        self.operands.clear();
         loop {
-            let mut arg = self.parse_argument()?;
-            qubits.append(&mut arg);
+            let operand = self.parse_argument()?;
+            self.operands.push(operand);
             match self.next() {
-                Some(Token {
-                    kind: TokenKind::Comma,
-                    ..
-                }) => continue,
-                Some(Token {
-                    kind: TokenKind::Semicolon,
-                    ..
-                }) => break,
-                Some(t) => return Err(self.unexpected(&t, ", or ;")),
+                Some(t) if t.kind == TokenKind::Comma => continue,
+                Some(t) if t.kind == TokenKind::Semicolon => return Ok(()),
+                Some(t) => return Err(self.unexpected(t, ", or ;")),
                 None => return Err(self.eof_diag()),
             }
         }
-        self.gates.push(Gate::Barrier(qubits));
-        Ok(())
     }
 
     fn parse_gate(&mut self, name: &str, line: usize, col: usize) -> Result<(), Diagnostic> {
         // Optional parameter list.
-        let params = if matches!(
-            self.peek(),
-            Some(Token {
-                kind: TokenKind::LParen,
-                ..
-            })
-        ) {
+        self.params.clear();
+        if self.peek_is(TokenKind::LParen) {
             self.next();
-            self.parse_params()?
-        } else {
-            Vec::new()
-        };
+            self.parse_params()?;
+        }
         // Finite literals can still combine into infinities or NaN (`1/0`,
         // `1e308+1e308`); reject them here so every parsed circuit carries
         // only finite angles and survives an exact `to_qasm` round trip.
-        if let Some(bad) = params.iter().copied().find(|p| !p.is_finite()) {
-            return Err(self.diag_at(DiagnosticKind::NonFiniteParameter { value: bad }, line, col));
+        if let Some(&value) = self.params.iter().find(|p| !p.is_finite()) {
+            return Err(self.diag_at(DiagnosticKind::NonFiniteParameter { value }, line, col));
         }
         // Operands: comma-separated arguments, each `reg` or `reg[i]`.
-        let mut operands: Vec<Vec<QubitId>> = Vec::new();
-        loop {
-            operands.push(self.parse_argument()?);
-            match self.next() {
-                Some(Token {
-                    kind: TokenKind::Comma,
-                    ..
-                }) => continue,
-                Some(Token {
-                    kind: TokenKind::Semicolon,
-                    ..
-                }) => break,
-                Some(t) => return Err(self.unexpected(&t, ", or ;")),
-                None => return Err(self.eof_diag()),
-            }
-        }
+        self.parse_operands()?;
         // Broadcast over whole-register operands (all operands must then have
-        // the same length; single-qubit operands are repeated). Registers are
-        // never empty, so every operand list has at least one entry.
-        let broadcast = operands.iter().map(Vec::len).max().unwrap_or(1);
+        // the same length; single-qubit operands are repeated).
+        let broadcast = self.operands.iter().map(|op| op.len()).max().unwrap_or(1);
         for i in 0..broadcast {
-            let pick = |op: &Vec<QubitId>| -> QubitId {
-                if op.len() == 1 {
-                    op[0]
-                } else {
-                    op[i.min(op.len().saturating_sub(1))]
-                }
-            };
             if name == "ccx" {
                 // Decompose Toffolis here so downstream schedulers only ever
                 // see one- and two-qubit gates.
-                let need = |idx: usize| -> Result<QubitId, Diagnostic> {
-                    operands.get(idx).map(&pick).ok_or_else(|| {
-                        self.diag_at(
-                            DiagnosticKind::Unexpected {
-                                found: "end of operands".to_string(),
-                                expected: "qubit operand",
-                            },
-                            line,
-                            col,
-                        )
-                    })
-                };
-                let (a, b, c) = (need(0)?, need(1)?, need(2)?);
+                let (a, b, c) = (
+                    self.operand(0, i, line, col)?,
+                    self.operand(1, i, line, col)?,
+                    self.operand(2, i, line, col)?,
+                );
                 self.gates.extend(toffoli_decomposition(a, b, c));
             } else {
-                let gate = self.build_gate(name, &params, &operands, pick, line, col)?;
+                let gate = self.build_gate(name, i, line, col)?;
                 self.gates.push(gate);
             }
         }
         Ok(())
     }
 
+    /// Operand `idx`'s qubit at broadcast step `i`.
+    fn operand(
+        &self,
+        idx: usize,
+        i: usize,
+        line: usize,
+        col: usize,
+    ) -> Result<QubitId, Diagnostic> {
+        match self.operands.get(idx) {
+            Some(op) => Ok(op.pick(i)),
+            None => {
+                let found = "end of operands".to_string();
+                let kind = DiagnosticKind::Unexpected {
+                    found,
+                    expected: "qubit operand",
+                };
+                Err(self.diag_at(kind, line, col))
+            }
+        }
+    }
+
     fn build_gate(
         &self,
         name: &str,
-        params: &[f64],
-        operands: &[Vec<QubitId>],
-        pick: impl Fn(&Vec<QubitId>) -> QubitId,
+        i: usize,
         line: usize,
         col: usize,
     ) -> Result<Gate, Diagnostic> {
-        let op = |idx: usize| -> Result<QubitId, Diagnostic> {
-            operands.get(idx).map(&pick).ok_or_else(|| {
-                self.diag_at(
-                    DiagnosticKind::Unexpected {
-                        found: "end of operands".to_string(),
-                        expected: "qubit operand",
-                    },
-                    line,
-                    col,
-                )
-            })
-        };
-        let p = |idx: usize| params.get(idx).copied().unwrap_or(0.0);
+        let op = |idx: usize| self.operand(idx, i, line, col);
+        let p = |idx: usize| self.params.get(idx).copied().unwrap_or(0.0);
         let gate = match name {
             "h" => Gate::H(op(0)?),
             "x" => Gate::X(op(0)?),
@@ -762,46 +758,29 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses a comma-separated list of constant expressions terminated by
-    /// `)` (the opening `(` has already been consumed).
-    fn parse_params(&mut self) -> Result<Vec<f64>, Diagnostic> {
-        let mut params = Vec::new();
-        if matches!(
-            self.peek(),
-            Some(Token {
-                kind: TokenKind::RParen,
-                ..
-            })
-        ) {
+    /// `)` into the reused `params` buffer (the opening `(` has already been
+    /// consumed).
+    fn parse_params(&mut self) -> Result<(), Diagnostic> {
+        if self.peek_is(TokenKind::RParen) {
             self.next();
-            return Ok(params);
+            return Ok(());
         }
         loop {
-            params.push(self.parse_expr(0)?);
+            let value = self.parse_expr(0)?;
+            self.params.push(value);
             match self.next() {
-                Some(Token {
-                    kind: TokenKind::RParen,
-                    ..
-                }) => break,
-                Some(Token {
-                    kind: TokenKind::Comma,
-                    ..
-                }) => continue,
-                Some(t) => return Err(self.unexpected(&t, ", or )")),
+                Some(t) if t.kind == TokenKind::RParen => return Ok(()),
+                Some(t) if t.kind == TokenKind::Comma => continue,
+                Some(t) => return Err(self.unexpected(t, ", or )")),
                 None => return Err(self.eof_diag()),
             }
         }
-        Ok(params)
     }
 
     /// `expr := term (('+'|'-') term)*` with left-to-right association.
     fn parse_expr(&mut self, depth: usize) -> Result<f64, Diagnostic> {
         let mut value = self.parse_term(depth)?;
-        while let Some(Token {
-            kind: TokenKind::Op(op @ ('+' | '-')),
-            ..
-        }) = self.peek()
-        {
-            let op = *op;
+        while let Some(op @ ('+' | '-')) = self.peek_op() {
             self.next();
             let rhs = self.parse_term(depth)?;
             value = if op == '+' { value + rhs } else { value - rhs };
@@ -812,12 +791,7 @@ impl<'a> Parser<'a> {
     /// `term := unary (('*'|'/') unary)*` with left-to-right association.
     fn parse_term(&mut self, depth: usize) -> Result<f64, Diagnostic> {
         let mut value = self.parse_unary(depth)?;
-        while let Some(Token {
-            kind: TokenKind::Op(op @ ('*' | '/')),
-            ..
-        }) = self.peek()
-        {
-            let op = *op;
+        while let Some(op @ ('*' | '/')) = self.peek_op() {
             self.next();
             let rhs = self.parse_unary(depth)?;
             value = if op == '*' { value * rhs } else { value / rhs };
@@ -825,103 +799,72 @@ impl<'a> Parser<'a> {
         Ok(value)
     }
 
+    fn peek_op(&self) -> Option<char> {
+        match self.peek()?.kind {
+            TokenKind::Op(op) => Some(op),
+            _ => None,
+        }
+    }
+
     /// `unary := '-' unary | atom`, `atom := number | 'pi' | '(' expr ')'`.
     /// `depth` counts recursion (unary minus chains and parentheses) and is
     /// bounded by [`ParseLimits::max_expr_depth`] so adversarial nesting
     /// cannot overflow the stack.
     fn parse_unary(&mut self, depth: usize) -> Result<f64, Diagnostic> {
-        let token = match self.next() {
-            Some(t) => t,
-            None => return Err(self.eof_diag()),
-        };
+        let token = self.next().ok_or_else(|| self.eof_diag())?;
         if depth >= self.limits.max_expr_depth {
-            return Err(self.diag_at(
-                DiagnosticKind::ExpressionTooDeep {
-                    max_depth: self.limits.max_expr_depth,
-                },
-                token.line,
-                token.col,
-            ));
+            let max_depth = self.limits.max_expr_depth;
+            let kind = DiagnosticKind::ExpressionTooDeep { max_depth };
+            return Err(self.diag_at(kind, token.line, token.col));
         }
         match token.kind {
             TokenKind::Op('-') => Ok(-self.parse_unary(depth + 1)?),
             TokenKind::Number(n) => Ok(n),
-            TokenKind::Ident(ref word) if word == "pi" => Ok(PI),
+            TokenKind::Ident("pi") => Ok(PI),
             TokenKind::LParen => {
                 let value = self.parse_expr(depth + 1)?;
                 self.expect_kind(TokenKind::RParen, ")")?;
                 Ok(value)
             }
-            _ => Err(self.unexpected(&token, "parameter expression")),
+            _ => Err(self.unexpected(token, "parameter expression")),
         }
     }
 
-    /// Parses `reg` or `reg[i]`, returning the referenced qubits.
-    fn parse_argument(&mut self) -> Result<Vec<QubitId>, Diagnostic> {
+    /// Parses `reg` or `reg[i]`, resolving the register by binary search.
+    fn parse_argument(&mut self) -> Result<Operand, Diagnostic> {
         let (name, line, col) = match self.next() {
             Some(Token {
                 kind: TokenKind::Ident(name),
                 line,
                 col,
             }) => (name, line, col),
-            Some(t) => return Err(self.unexpected(&t, "register name")),
+            Some(t) => return Err(self.unexpected(t, "register name")),
             None => return Err(self.eof_diag()),
         };
-        let &(offset, size) = self.qregs.get(&name).ok_or_else(|| {
-            self.diag_at(
-                DiagnosticKind::UnknownRegister { name: name.clone() },
-                line,
-                col,
-            )
-        })?;
-        if matches!(
-            self.peek(),
-            Some(Token {
-                kind: TokenKind::LBracket,
-                ..
-            })
-        ) {
-            self.next();
-            let index = self.expect_index()?;
-            self.expect_kind(TokenKind::RBracket, "]")?;
-            if index >= size {
-                return Err(self.diag_at(
-                    DiagnosticKind::IndexOutOfRange { name, index, size },
-                    line,
-                    col,
-                ));
-            }
-            Ok(vec![QubitId::new(offset + index)])
-        } else {
-            Ok((0..size).map(|i| QubitId::new(offset + i)).collect())
+        let Ok(slot) = self.qregs.binary_search_by(|r| r.0.cmp(name)) else {
+            let name = name.to_string();
+            return Err(self.diag_at(DiagnosticKind::UnknownRegister { name }, line, col));
+        };
+        let (_, offset, size) = self.qregs[slot];
+        if !self.peek_is(TokenKind::LBracket) {
+            return Ok(Operand::Reg { offset, size });
         }
-    }
-
-    fn expect_ident(&mut self) -> Result<(String, usize), Diagnostic> {
-        match self.next() {
-            Some(Token {
-                kind: TokenKind::Ident(s),
-                col,
-                ..
-            }) => Ok((s, col)),
-            Some(t) => Err(self.unexpected(&t, "identifier")),
-            None => Err(self.eof_diag()),
+        self.next();
+        let index = self.expect_index()?;
+        self.expect_kind(TokenKind::RBracket, "]")?;
+        if index >= size {
+            let name = name.to_string();
+            let kind = DiagnosticKind::IndexOutOfRange { name, index, size };
+            return Err(self.diag_at(kind, line, col));
         }
-    }
-
-    fn expect_kind(&mut self, kind: TokenKind, expected: &'static str) -> Result<(), Diagnostic> {
-        match self.next() {
-            Some(t) if t.kind == kind => Ok(()),
-            Some(t) => Err(self.unexpected(&t, expected)),
-            None => Err(self.eof_diag()),
-        }
+        Ok(Operand::One(QubitId::new(offset + index)))
     }
 }
 
 /// Standard six-CNOT Toffoli decomposition (same network as
 /// [`Circuit::ccx`](crate::Circuit::ccx)).
-fn toffoli_decomposition(a: QubitId, b: QubitId, c: QubitId) -> Vec<Gate> {
-    vec![
+fn toffoli_decomposition(a: QubitId, b: QubitId, c: QubitId) -> [Gate; 15] {
+    [
         Gate::H(c),
         Gate::Cx(b, c),
         Gate::Tdg(c),
