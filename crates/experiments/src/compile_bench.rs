@@ -231,13 +231,9 @@ pub fn run_with(circuits: &[Circuit], iterations: usize) -> BenchReport {
 /// reuses it across every circuit it pulls (per-worker session reuse).
 fn measure_batch_throughput(circuits: &[Circuit], runs: usize) -> Vec<BatchThroughput> {
     let max_qubits = circuits.iter().map(Circuit::num_qubits).max().unwrap_or(1);
-    // The batch workers already saturate the requested parallelism, so the
-    // per-compile overlapped SABRE driver is disabled here: one thread per
-    // in-flight compile is the serving configuration being measured (results
-    // are identical either way — the driver is decision-preserving).
     let compiler = MussTiCompiler::new(
         DeviceConfig::for_qubits(max_qubits).build(),
-        MussTiOptions::default().with_parallel_sabre_threshold(usize::MAX),
+        MussTiOptions::default(),
     );
     BATCH_THREAD_COUNTS
         .iter()
@@ -576,12 +572,11 @@ mod tests {
 
     #[test]
     fn window_refreshes_is_a_per_compile_delta_not_a_cumulative_counter() {
-        // `DependencyDag::window_refreshes()` is cumulative per DAG and the
-        // overlapped driver runs two speculative passes on one worker DAG, so
-        // the phases block only stays meaningful if every compile reports its
-        // own delta (dry chain + winning pass). If a cumulative count (or a
-        // discarded speculation) ever leaked through, the warm-session mean
-        // over three iterations would exceed the single-compile value.
+        // `DependencyDag::window_refreshes()` is cumulative per DAG, so the
+        // phases block only stays meaningful if every compile reports its own
+        // count (dry passes + final pass). If a cumulative count ever leaked
+        // through a reused DAG, the warm-session mean over three iterations
+        // would exceed the single-compile value.
         let circuits = vec![generators::qft(48)];
         let refreshes = |report: &BenchReport| {
             report

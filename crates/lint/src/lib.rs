@@ -11,19 +11,20 @@
 //!   may not use panicking idioms outside tests — `qasm::parse` and
 //!   `verify::ScheduleVerifier` promise to *never* panic, and this pass makes
 //!   that promise machine-checked at the source level.
-//! * **sync-justification** — the concurrency contract (PR 9's speculative
-//!   driver): in files annotated `lint: concurrency`, every atomic-ordering
-//!   use and every condvar wait/notify site must carry a `// sync:` comment
-//!   (same or preceding line) explaining its role in the protocol, so the
-//!   load-bearing invariants live next to the code that bears them.
+//! * **sync-justification** — the concurrency contract: in files annotated
+//!   `lint: concurrency`, every atomic-ordering use and every condvar
+//!   wait/notify site must carry a `// sync:` comment (same or preceding
+//!   line) explaining its role, so the load-bearing invariants live next to
+//!   the code that bears them. Its one user today is the batch pipeline's
+//!   work-stealing ticket in `eml-qccd/src/pipeline.rs`.
 //!
 //! All passes are a deliberate token-level scan — no dependencies, no syn,
 //! fast enough for a pre-commit hook — with per-line `// lint: allow
 //! (reason)` escapes for deliberate exceptions (e.g. pooled-buffer setup in
 //! constructors, the `NaiveDag` reference implementation).
 //!
-//! Usage (the binary is `analyze`; `cargo run -p lint` still resolves to it
-//! via `default-run`, so existing scripts keep working):
+//! Usage (the binary is `analyze`; `cargo run -p lint` resolves to it via
+//! `default-run`):
 //!
 //! ```text
 //! cargo run -p lint                  # run all passes; exit 1 on findings

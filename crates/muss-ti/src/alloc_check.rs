@@ -178,97 +178,6 @@ mod tests {
         );
     }
 
-    /// The abortable pass — the primitive the overlapped SABRE driver runs on
-    /// its speculative worker — is allocation-free warm, with the tracker
-    /// armed (default options keep SWAP insertion on, which arms it) and the
-    /// abort flag wired but never raised. The parallel driver's remaining
-    /// allocations are all **per-compile setup**, outside this steady-state
-    /// contract: the `thread::scope` spawn, the worker's own `DependencyDag`
-    /// build, the candidate hand-off `Vec` published through the mutex, and
-    /// the mapping `Vec`s themselves.
-    #[test]
-    fn warm_abortable_pass_with_armed_tracker_performs_zero_allocations() {
-        use std::sync::atomic::AtomicBool;
-
-        use crate::scheduler::schedule_in_abortable;
-
-        let device = DeviceConfig::for_qubits(96).build();
-        let circuit = generators::random_circuit(96, 600, 17);
-        let options = MussTiOptions::default();
-        assert!(
-            options.enable_swap_insertion,
-            "the default pass must arm the window tracker"
-        );
-        let mapping = trivial_mapping(&device, 96).unwrap();
-        let mut dag = DependencyDag::from_circuit(&circuit);
-        let mut cx = SchedulerScratch::new(&device);
-        let abort = AtomicBool::new(false);
-
-        for _ in 0..2 {
-            dag.reset();
-            schedule_in_abortable(&device, &options, &mut dag, &mapping, &mut cx, &abort)
-                .unwrap()
-                .expect("an unraised abort flag lets the pass run to completion");
-        }
-
-        dag.reset();
-        let allocs = allocations_during(|| {
-            schedule_in_abortable(&device, &options, &mut dag, &mapping, &mut cx, &abort)
-                .unwrap()
-                .expect("an unraised abort flag lets the pass run to completion");
-        });
-        assert_eq!(
-            allocs, 0,
-            "steady-state abortable pass with armed tracker must not allocate"
-        );
-    }
-
-    /// An abort raised before the pass starts still allocates nothing: the
-    /// loser of the overlapped race is cancelled without disturbing the
-    /// pooled scratch, so the next compile reuses it warm.
-    #[test]
-    fn aborted_pass_performs_zero_allocations_and_keeps_scratch_warm() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        use crate::scheduler::schedule_in_abortable;
-
-        let device = DeviceConfig::for_qubits(48).build();
-        let circuit = generators::qft(48);
-        let options = MussTiOptions::default();
-        let mapping = trivial_mapping(&device, 48).unwrap();
-        let mut dag = DependencyDag::from_circuit(&circuit);
-        let mut cx = SchedulerScratch::new(&device);
-        let abort = AtomicBool::new(false);
-
-        for _ in 0..2 {
-            dag.reset();
-            schedule_in_abortable(&device, &options, &mut dag, &mapping, &mut cx, &abort)
-                .unwrap()
-                .expect("an unraised abort flag lets the pass run to completion");
-        }
-
-        abort.store(true, Ordering::Relaxed);
-        dag.reset();
-        let allocs = allocations_during(|| {
-            let outcome =
-                schedule_in_abortable(&device, &options, &mut dag, &mapping, &mut cx, &abort)
-                    .unwrap();
-            assert!(outcome.is_none(), "a raised abort flag cancels the pass");
-        });
-        assert_eq!(allocs, 0, "an aborted pass must not allocate");
-
-        // The scratch survives the abort warm: a follow-up full pass is
-        // still allocation-free.
-        abort.store(false, Ordering::Relaxed);
-        dag.reset();
-        let allocs = allocations_during(|| {
-            schedule_in_abortable(&device, &options, &mut dag, &mapping, &mut cx, &abort)
-                .unwrap()
-                .expect("an unraised abort flag lets the pass run to completion");
-        });
-        assert_eq!(allocs, 0, "the pass after an abort must reuse warm scratch");
-    }
-
     /// `DependencyDag::reset` and `reset_reversed` recycle every allocation
     /// once the edge lists and build scratch are warm.
     #[test]

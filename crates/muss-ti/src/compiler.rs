@@ -1,7 +1,6 @@
 //! The MUSS-TI compiler front-end: a staged pipeline (placement → scheduling
 //! → swap insertion → lowering) behind the one-shot [`Compiler`] facade.
 
-use std::thread;
 use std::time::{Duration, Instant};
 
 use eml_qccd::pipeline::{Lowered, Placement, Scheduled};
@@ -12,32 +11,9 @@ use eml_qccd::{
 };
 use ion_circuit::{Circuit, DependencyDag, Gate, QubitId};
 
-use crate::handoff::{Lane, StdSync, SyncOps};
-use crate::mapping::{
-    effective_device_capacity, initial_mapping_in, sabre_dry_chain, trivial_mapping,
-};
-use crate::scheduler::{schedule_in, schedule_in_abortable, ScheduleStats};
-use crate::{InitialMappingStrategy, MussTiContext, MussTiOptions, PhaseTimings};
-
-/// Whether this process can actually run the overlapped driver's worker on
-/// its own core (queried once — `available_parallelism` reads cgroup state).
-fn second_core_available() -> bool {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get())) >= 2
-}
-
-/// What the placement + scheduling drivers hand to the shared lowering code:
-/// the chosen initial mapping, the final pass's stats, the per-phase wall
-/// clock split and the hot-path diagnostic counters.
-struct PassOutput {
-    mapping: Vec<(QubitId, ZoneId)>,
-    stats: ScheduleStats,
-    placement_ms: f64,
-    scheduling_ms: f64,
-    swap_insertion_ms: f64,
-    window_refreshes: u64,
-    probe_skips: u64,
-}
+use crate::mapping::{effective_device_capacity, initial_mapping_in};
+use crate::scheduler::schedule_in;
+use crate::{MussTiContext, MussTiOptions, PhaseTimings};
 
 /// The MUSS-TI compiler: multi-level shuttle scheduling for EML-QCCD devices.
 ///
@@ -199,67 +175,6 @@ impl MussTiCompiler {
         let start = Instant::now();
         self.check(circuit)?;
 
-        // The overlapped driver pays a thread spawn and a second DAG build
-        // per compile; below the gate-count threshold that setup costs more
-        // than the overlap saves, so small circuits stay single-threaded.
-        // On a machine without a second core the speculation can only
-        // timeshare with the dry chain (measured ~40% regression on a
-        // 1-core container), so the heuristic also requires real hardware
-        // parallelism — except at threshold 0, which force-enables the
-        // driver so the parity and allocation suites can exercise it
-        // anywhere. Both drivers produce bit-identical op streams (pinned
-        // by the fingerprint suite and the parallel≡sequential parity test).
-        let overlap = self.options.initial_mapping == InitialMappingStrategy::Sabre
-            && circuit.two_qubit_gate_count() >= self.options.parallel_sabre_threshold
-            && (self.options.parallel_sabre_threshold == 0 || second_core_available());
-        let passes = if overlap {
-            self.sabre_overlapped_passes(cx, circuit)?
-        } else {
-            self.sequential_passes(cx, circuit)?
-        };
-        let PassOutput {
-            mapping,
-            stats,
-            placement_ms,
-            scheduling_ms,
-            swap_insertion_ms,
-            window_refreshes,
-            probe_skips,
-        } = passes;
-
-        let lowering_start = Instant::now();
-        let final_mapping = cx.sched.state.mapping();
-        let ops = assemble_ops(circuit, &mapping, &cx.sched.ops, &final_mapping);
-        let metrics = self.executor.execute_in(
-            &mut cx.exec,
-            &ops,
-            circuit.num_qubits(),
-            DeviceDims::from(&self.device).num_zones,
-        );
-        let phases = PhaseTimings {
-            placement_ms,
-            scheduling_ms,
-            swap_insertion_ms,
-            lowering_ms: lowering_start.elapsed().as_secs_f64() * 1e3,
-            window_refreshes,
-            probe_skips,
-        };
-        let initial_placement = mapping.iter().map(|&(q, z)| (q, z.index())).collect();
-        let program =
-            CompiledProgram::from_parts(&self.name, circuit, ops, metrics, start.elapsed())
-                .with_stage_timings(phases)
-                .with_initial_placement(initial_placement);
-        Ok((program, stats.inserted_swaps, phases))
-    }
-
-    /// The single-threaded placement + scheduling pipeline: the SABRE dry
-    /// chain (or trivial mapping) followed by the final full pass, all in
-    /// `cx.sched`, sharing one lazily built DAG.
-    fn sequential_passes(
-        &self,
-        cx: &mut MussTiContext,
-        circuit: &Circuit,
-    ) -> Result<PassOutput, CompileError> {
         // Built lazily: the SABRE dry passes construct it during placement
         // and the final pass reuses it (reset); the trivial strategy defers
         // construction to the scheduling phase.
@@ -286,199 +201,32 @@ impl MussTiCompiler {
         // circuits; clamp so the reported phases are always non-negative.
         let scheduling_ms =
             (scheduling_start.elapsed().as_secs_f64() * 1e3 - swap_insertion_ms).max(0.0);
-        Ok(PassOutput {
-            mapping,
-            stats,
+
+        let lowering_start = Instant::now();
+        let final_mapping = cx.sched.state.mapping();
+        let ops = assemble_ops(circuit, &mapping, &cx.sched.ops, &final_mapping);
+        let metrics = self.executor.execute_in(
+            &mut cx.exec,
+            &ops,
+            circuit.num_qubits(),
+            DeviceDims::from(&self.device).num_zones,
+        );
+        let phases = PhaseTimings {
             placement_ms,
             scheduling_ms,
             swap_insertion_ms,
+            lowering_ms: lowering_start.elapsed().as_secs_f64() * 1e3,
             // One DAG served every pass of this compile, so its counter is
             // already the compile-wide total.
             window_refreshes: dag.window_refreshes(),
             probe_skips: u64::from(probe_skipped),
-        })
-    }
-
-    /// The overlapped SABRE pipeline: the main thread runs the dry-pass chain
-    /// (forward → backward → probe) exactly as [`Self::sequential_passes`]
-    /// would, while one scoped worker speculatively runs the *final* full
-    /// pass for both possible outcomes of the two-fold decision — first from
-    /// the trivial mapping (into `cx.sched2`), then, as soon as the backward
-    /// pass publishes its candidate, from the candidate (into `cx.sched3`).
-    /// When the decision lands, the loser's pass is aborted cooperatively and
-    /// the winner's scratch is swapped into `cx.sched`, so everything
-    /// downstream (lowering, final mapping) is driver-agnostic.
-    ///
-    /// Decision-preserving by construction: the dry chain is untouched, and
-    /// each speculative final pass runs `schedule_in` on the same inputs the
-    /// sequential driver would hand it (a freshly built DAG is pinned
-    /// behaviour-identical to a reset one by the session-reuse suite); the
-    /// abort flag of the winning pass is never raised. Op streams are
-    /// therefore bit-identical to the sequential driver.
-    ///
-    /// Steady-state allocation boundary (pinned by `alloc_check.rs`): the
-    /// scheduling passes themselves stay allocation-free in a warm context;
-    /// the thread spawn, the worker's DAG build and the candidate hand-off
-    /// `Vec` are per-compile *setup*, in the same class as the caller-visible
-    /// mapping `Vec`s and the one-time DAG build of the sequential driver.
-    fn sabre_overlapped_passes(
-        &self,
-        cx: &mut MussTiContext,
-        circuit: &Circuit,
-    ) -> Result<PassOutput, CompileError> {
-        let placement_start = Instant::now();
-        let trivial = trivial_mapping(&self.device, circuit.num_qubits())?;
-
-        // The hand-off protocol (candidate slot + condvar + per-lane abort
-        // flags) lives in `handoff`; this driver only decides *when* to call
-        // publish/decide and which pass's scratch wins.
-        let sync: StdSync<Vec<(QubitId, ZoneId)>> = StdSync::new();
-
-        let MussTiContext {
-            sched,
-            sched2,
-            sched3,
-            ..
-        } = cx;
-        let trivial_ref = &trivial;
-        let sync_ref = &sync;
-
-        let scoped = thread::scope(|s| {
-            let worker = s.spawn(|| {
-                // Per-compile setup, not steady state: the speculative finals
-                // need their own DAG because the main thread's dry chain is
-                // mutating the shared one concurrently.
-                let mut dag2 = DependencyDag::from_circuit(circuit);
-                let from_trivial = schedule_in_abortable(
-                    &self.device,
-                    &self.options,
-                    &mut dag2,
-                    trivial_ref,
-                    sched2,
-                    sync_ref.abort_flag(Lane::Trivial),
-                );
-                // `window_refreshes()` is cumulative per DAG (reset does not
-                // clear it), so snapshot between the passes: the phases block
-                // must report the *winner's* pass alone, and the loser's
-                // count depends on when its abort landed.
-                let trivial_refreshes = dag2.window_refreshes();
-                let from_candidate = sync_ref.worker_candidate(trivial_ref).map(|c| {
-                    dag2.reset();
-                    schedule_in_abortable(
-                        &self.device,
-                        &self.options,
-                        &mut dag2,
-                        &c,
-                        sched3,
-                        sync_ref.abort_flag(Lane::Candidate),
-                    )
-                });
-                let candidate_refreshes = dag2.window_refreshes() - trivial_refreshes;
-                (
-                    from_trivial,
-                    trivial_refreshes,
-                    from_candidate,
-                    candidate_refreshes,
-                )
-            });
-
-            let mut dag = DependencyDag::from_circuit(circuit);
-            let chain = sabre_dry_chain(
-                &self.device,
-                &self.options,
-                &mut dag,
-                trivial_ref,
-                sched,
-                |cand| sync_ref.publish_candidate(cand.to_vec()),
-            );
-
-            let (candidate, outcome) = match chain {
-                Ok(pair) => pair,
-                Err(e) => {
-                    // Unblock and wind down the worker before propagating:
-                    // if the forward/backward pass failed the candidate was
-                    // never published, so the worker is (or will be) parked
-                    // on the hand-off.
-                    sync_ref.main_failed();
-                    let _ = worker.join();
-                    return Err(e);
-                }
-            };
-
-            // The decision is about *values*: whenever the chosen mapping
-            // equals the trivial one (trivial won, or the chain early-exited
-            // with candidate == trivial), the from-trivial speculation is the
-            // final pass; otherwise the from-candidate one is.
-            let use_candidate = outcome.chosen_is_candidate && candidate != *trivial_ref;
-            sync_ref.decide(use_candidate);
-            let placement_ms = placement_start.elapsed().as_secs_f64() * 1e3;
-
-            let scheduling_start = Instant::now();
-            let (from_trivial, trivial_refreshes, from_candidate, candidate_refreshes) = worker
-                .join()
-                .expect("speculative scheduling worker panicked");
-            // Errors from the *discarded* speculation are ignored — the
-            // sequential driver never runs that pass. The winner's abort
-            // flag is never raised, so its pass always ran to completion.
-            let stats = if use_candidate {
-                from_candidate
-                    .expect("the candidate pass runs whenever the decision can pick it")?
-                    .expect("the winning speculative pass is never aborted")
-            } else {
-                from_trivial?.expect("the winning speculative pass is never aborted")
-            };
-            let scheduling_wall = scheduling_start.elapsed().as_secs_f64() * 1e3;
-            // The compile-wide count is the dry chain's DAG plus the
-            // *winning* final pass only — exactly what the sequential driver
-            // reports. Counting the aborted loser too would make the number
-            // depend on abort timing (nondeterministic across runs).
-            let winner_refreshes = if use_candidate {
-                candidate_refreshes
-            } else {
-                trivial_refreshes
-            };
-            let window_refreshes = dag.window_refreshes() + winner_refreshes;
-            Ok((
-                candidate,
-                outcome,
-                stats,
-                use_candidate,
-                placement_ms,
-                scheduling_wall,
-                window_refreshes,
-            ))
-        });
-        let (candidate, outcome, stats, use_candidate, placement_ms, scheduling_wall, refreshes) =
-            scoped?;
-
-        // Hand the winning pass's scratch to the shared lowering code, which
-        // always reads `cx.sched` (op stream + final placement state).
-        if use_candidate {
-            std::mem::swap(&mut cx.sched, &mut cx.sched3);
-        } else {
-            std::mem::swap(&mut cx.sched, &mut cx.sched2);
-        }
-
-        let mapping = if outcome.chosen_is_candidate {
-            candidate
-        } else {
-            trivial
         };
-        let swap_insertion_ms = stats.swap_insertion_time.as_secs_f64() * 1e3;
-        // The winning pass may have finished before the decision was even
-        // known (it ran concurrently with the dry chain), in which case the
-        // post-decision scheduling slice collapses towards zero — that
-        // overlap is exactly the wall-clock the driver saves.
-        let scheduling_ms = (scheduling_wall - swap_insertion_ms).max(0.0);
-        Ok(PassOutput {
-            mapping,
-            stats,
-            placement_ms,
-            scheduling_ms,
-            swap_insertion_ms,
-            window_refreshes: refreshes,
-            probe_skips: u64::from(outcome.probe_skipped),
-        })
+        let initial_placement = mapping.iter().map(|&(q, z)| (q, z.index())).collect();
+        let program =
+            CompiledProgram::from_parts(&self.name, circuit, ops, metrics, start.elapsed())
+                .with_stage_timings(phases)
+                .with_initial_placement(initial_placement);
+        Ok((program, stats.inserted_swaps, phases))
     }
 
     /// Validation and capacity checks shared by every pipeline entry point —

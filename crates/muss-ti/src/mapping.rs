@@ -102,9 +102,10 @@ pub(crate) fn trivial_mapping(
 /// Computes the initial mapping for a compilation run, applying the SABRE
 /// two-fold search when requested: schedule forward from the trivial mapping,
 /// schedule the reversed circuit from the resulting final mapping, and use
-/// that run's final mapping as the real starting point. The dry passes run
-/// with SWAP insertion disabled so the resulting placement reflects transport
-/// pressure only.
+/// that run's final mapping (the candidate) as the real starting point if a
+/// probe pass from it needs no more shuttles than the forward pass. The dry
+/// passes run with SWAP insertion disabled so the resulting placement
+/// reflects transport pressure only.
 ///
 /// All three dry passes run in cost-only mode
 /// ([`schedule_cost_only`](crate::scheduler::schedule_cost_only)): they
@@ -116,6 +117,16 @@ pub(crate) fn trivial_mapping(
 /// structural DAG build — `dag` is built here at most once for `circuit` and
 /// handed back to the caller still usable (after a
 /// [`reset`](DependencyDag::reset)) for the final scheduling pass.
+///
+/// **Probe early-exit**: when the backward pass lands exactly back on the
+/// trivial mapping, the probe would replay the forward pass move for move —
+/// same DAG orientation (two `reset_reversed` calls round-trip exactly), same
+/// start mapping, same options, scratch state fully re-initialised per pass —
+/// so `probe.shuttles == forward.shuttles` and the `<=` decision picks the
+/// candidate unconditionally. The search returns right there, skipping the
+/// redundant third dry pass (the DAG is still restored to its forward
+/// orientation first). Decision-identical to running the probe, pinned by the
+/// op-fingerprint suite.
 ///
 /// Returns the chosen mapping plus whether the probe early-exit fired
 /// (always `false` for the trivial strategy), so the caller can surface the
@@ -134,63 +145,15 @@ pub(crate) fn initial_mapping_in(
 ) -> Result<(Vec<(QubitId, ZoneId)>, bool), CompileError> {
     let trivial = trivial_mapping(device, circuit.num_qubits())?;
     match options.initial_mapping {
-        InitialMappingStrategy::Trivial => Ok((trivial, false)),
-        InitialMappingStrategy::Sabre => {
-            let dag = dag.get_or_insert_with(|| DependencyDag::from_circuit(circuit));
-            let (candidate, outcome) = sabre_dry_chain(device, options, dag, &trivial, cx, |_| {})?;
-            let mapping = if outcome.chosen_is_candidate {
-                candidate
-            } else {
-                trivial
-            };
-            Ok((mapping, outcome.probe_skipped))
-        }
+        InitialMappingStrategy::Trivial => return Ok((trivial, false)),
+        InitialMappingStrategy::Sabre => {}
     }
-}
-
-/// How the SABRE two-fold search concluded (diagnostics for the bench's
-/// per-phase counters ride along with the decision).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DryChainOutcome {
-    /// `true` → the backward pass's final mapping (the candidate) won;
-    /// `false` → the trivial mapping is kept.
-    pub chosen_is_candidate: bool,
-    /// `true` when the forward and backward passes converged back onto the
-    /// trivial mapping and the probe pass was skipped as provably redundant.
-    pub probe_skipped: bool,
-}
-
-/// The SABRE forward → backward → probe chain (Section 3.4), shared by the
-/// sequential [`initial_mapping_in`] path and the overlapped driver in
-/// `compiler.rs`. Returns the candidate mapping plus the decision; the caller
-/// owns `trivial` and picks by [`DryChainOutcome::chosen_is_candidate`].
-///
-/// `on_candidate` fires as soon as the backward pass's final mapping is known
-/// — before the probe runs — so the overlapped driver can hand the candidate
-/// to its speculative final-pass worker while the probe is still in flight.
-///
-/// **Probe early-exit**: when the backward pass lands exactly back on the
-/// trivial mapping, the probe would replay the forward pass move for move —
-/// same DAG orientation (two `reset_reversed` calls round-trip exactly), same
-/// start mapping, same options, scratch state fully re-initialised per pass —
-/// so `probe.shuttles == forward.shuttles` and the `<=` decision picks the
-/// candidate unconditionally. The chain returns right there, skipping the
-/// redundant third dry pass (the DAG is still restored to its forward
-/// orientation first). Decision-identical to running the probe, pinned by the
-/// op-fingerprint suite.
-pub(crate) fn sabre_dry_chain(
-    device: &EmlQccdDevice,
-    options: &MussTiOptions,
-    dag: &mut DependencyDag,
-    trivial: &[(QubitId, ZoneId)],
-    cx: &mut SchedulerScratch,
-    mut on_candidate: impl FnMut(&[(QubitId, ZoneId)]),
-) -> Result<(Vec<(QubitId, ZoneId)>, DryChainOutcome), CompileError> {
+    let dag = dag.get_or_insert_with(|| DependencyDag::from_circuit(circuit));
     let dry_options = MussTiOptions {
         enable_swap_insertion: false,
         ..*options
     };
-    let forward = schedule_cost_only(device, &dry_options, dag, trivial, cx)?;
+    let forward = schedule_cost_only(device, &dry_options, dag, &trivial, cx)?;
     let forward_mapping = cx.state.mapping();
     // Backward pass over the reversed circuit: flip the forward DAG's
     // edges in place instead of cloning the circuit and building a
@@ -199,28 +162,20 @@ pub(crate) fn sabre_dry_chain(
     schedule_cost_only(device, &dry_options, dag, &forward_mapping, cx)?;
     let candidate = cx.state.mapping();
     dag.reset_reversed();
-    on_candidate(&candidate);
     if candidate == trivial {
-        return Ok((
-            candidate,
-            DryChainOutcome {
-                chosen_is_candidate: true,
-                probe_skipped: true,
-            },
-        ));
+        return Ok((candidate, true));
     }
     // Keep whichever starting placement needs the least transport: the
     // two-fold search can occasionally end in a worse placement for
     // highly symmetric circuits, and the pre-loading idea only pays
     // off when it actually reduces movement.
     let probe = schedule_cost_only(device, &dry_options, dag, &candidate, cx)?;
-    Ok((
-        candidate,
-        DryChainOutcome {
-            chosen_is_candidate: probe.shuttles <= forward.shuttles,
-            probe_skipped: false,
-        },
-    ))
+    let mapping = if probe.shuttles <= forward.shuttles {
+        candidate
+    } else {
+        trivial
+    };
+    Ok((mapping, false))
 }
 
 /// One-shot wrapper over [`initial_mapping_in`] with fresh scratch (tests and

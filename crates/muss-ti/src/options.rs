@@ -32,7 +32,6 @@ pub enum InitialMappingStrategy {
 /// let full = MussTiOptions::default();
 /// assert_eq!(full.lookahead_k, 8);
 /// assert_eq!(full.swap_threshold, 4);
-/// assert_eq!(full.parallel_sabre_threshold, 512);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MussTiOptions {
@@ -47,15 +46,6 @@ pub struct MussTiOptions {
     /// remote module required before a SWAP is inserted (paper default 4; a
     /// SWAP costs three MS gates so `T < 3` is never profitable).
     pub swap_threshold: usize,
-    /// Minimum two-qubit gate count before a SABRE compile overlaps its
-    /// speculative final scheduling passes with the dry-pass chain on a
-    /// second worker thread (see `MussTiCompiler::compile_with_phases_in`).
-    /// Below the threshold the compile stays single-threaded — for small
-    /// circuits the thread spawn costs more than the overlap saves. The
-    /// overlap is decision-preserving, so this knob trades wall clock only;
-    /// op streams are bit-identical at any value. `usize::MAX` disables the
-    /// overlap entirely, `0` forces it (used by the parity suite).
-    pub parallel_sabre_threshold: usize,
 }
 
 impl Default for MussTiOptions {
@@ -65,7 +55,6 @@ impl Default for MussTiOptions {
             enable_swap_insertion: true,
             lookahead_k: 8,
             swap_threshold: 4,
-            parallel_sabre_threshold: 512,
         }
     }
 }
@@ -115,10 +104,11 @@ impl MussTiOptions {
         self
     }
 
-    /// Sets the gate-count threshold for the overlapped (two-worker) SABRE
-    /// compile path; `usize::MAX` keeps every compile single-threaded.
-    pub fn with_parallel_sabre_threshold(mut self, gates: usize) -> Self {
-        self.parallel_sabre_threshold = gates;
+    /// No-op: the overlapped SABRE driver this threshold gated is gone and
+    /// every compile runs sequentially. Kept only because the benchmark
+    /// harness (`perfbench/src/batch.rs`) still calls it.
+    #[doc(hidden)]
+    pub fn with_parallel_sabre_threshold(self, _gates: usize) -> Self {
         self
     }
 }
@@ -134,7 +124,6 @@ mod tests {
         assert!(o.enable_swap_insertion);
         assert_eq!(o.lookahead_k, 8);
         assert_eq!(o.swap_threshold, 4);
-        assert_eq!(o.parallel_sabre_threshold, 512);
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl ScheduleVerifier {
     ) -> VerifyReport {
         let mut dag = DependencyDag::from_circuit(circuit);
         let mut newly_ready: Vec<DagNodeId> = Vec::new();
-        let mut machine = Machine::new(&self.model, circuit.num_qubits(), placement);
+        let mut machine = Machine::new(&self.model, circuit.num_qubits(), placement, ops);
 
         let mut i = 0;
         while i < ops.len() {
@@ -102,6 +102,41 @@ impl ScheduleVerifier {
     }
 }
 
+/// For every `FiberGate` op, what the first later op that places `a` or `b`
+/// says about the pair: `Some(true)` if it finds them exchanged (the op ends
+/// an inserted swap), `Some(false)` if it finds them where the op had them,
+/// `None` if no later op places either qubit or the claims disagree. One
+/// backward pass over the stream; entries of non-fiber ops stay `None`.
+fn swap_votes(ops: &[ScheduledOp], num_qubits: usize) -> Vec<Option<bool>> {
+    let mut next_zone: Vec<Option<ResourceId>> = vec![None; num_qubits];
+    let mut votes = vec![None; ops.len()];
+    for (vote, op) in votes.iter_mut().zip(ops).rev() {
+        if let ScheduledOp::FiberGate {
+            a,
+            b,
+            zone_a,
+            zone_b,
+        } = op
+        {
+            let claim = |q: &QubitId| next_zone.get(q.index()).copied().flatten();
+            let (claim_a, claim_b) = (claim(a), claim(b));
+            let exchanged = claim_a == Some(*zone_b) || claim_b == Some(*zone_a);
+            let stayed = claim_a == Some(*zone_a) || claim_b == Some(*zone_b);
+            *vote = (exchanged != stayed).then_some(exchanged);
+        }
+        // A shuttle places its ion at the origin; every other op places its
+        // qubits in the zones it executes in.
+        let (qubit_a, qubit_b) = op.qubit_pair();
+        let (zone_a, zone_b) = op.zone_pair();
+        for (qubit, zone) in [(qubit_a, zone_a), (qubit_b, zone_b.unwrap_or(zone_a))] {
+            if let Some(slot) = qubit.and_then(|q| next_zone.get_mut(q.index())) {
+                *slot = Some(zone);
+            }
+        }
+    }
+    votes
+}
+
 /// Which op variant is claiming to cover a source gate.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum CoverKind {
@@ -126,6 +161,8 @@ struct Machine<'a> {
     measured: Vec<bool>,
     singles: Vec<usize>,
     measures: Vec<usize>,
+    /// Per-op [`swap_votes`] of the stream being replayed.
+    swap_votes: Vec<Option<bool>>,
     violations: Vec<Violation>,
 }
 
@@ -134,6 +171,7 @@ impl<'a> Machine<'a> {
         model: &'a DeviceModel,
         num_qubits: usize,
         placement: Option<&[(QubitId, ResourceId)]>,
+        ops: &[ScheduledOp],
     ) -> Self {
         let mut machine = Machine {
             model,
@@ -143,6 +181,7 @@ impl<'a> Machine<'a> {
             measured: vec![false; num_qubits],
             singles: vec![0; num_qubits],
             measures: vec![0; num_qubits],
+            swap_votes: swap_votes(ops, num_qubits),
             violations: Vec::new(),
         };
         if let Some(placement) = placement {
@@ -337,9 +376,28 @@ impl<'a> Machine<'a> {
         true
     }
 
+    /// Coverage for one fiber op read as a source gate.
+    fn cover_fiber(
+        &mut self,
+        dag: &mut DependencyDag,
+        newly_ready: &mut Vec<DagNodeId>,
+        i: usize,
+        (a, b): (QubitId, QubitId),
+        zones: [ResourceId; 2],
+    ) {
+        if !self.cover(dag, newly_ready, i, a, b, CoverKind::Fiber) {
+            self.report(
+                Some(i),
+                ViolationKind::MalformedInsertedSwap { a, b },
+                &[a, b],
+                &zones,
+            );
+        }
+    }
+
     // -- the stepper ------------------------------------------------------
 
-    /// Replays `ops[i]` (or an inserted-swap triple starting there) and
+    /// Replays `ops[i]` (or the run of identical fiber gates starting there) and
     /// returns how many ops were consumed.
     fn step(
         &mut self,
@@ -450,32 +508,51 @@ impl<'a> Machine<'a> {
                 }
                 self.no_gate_after_measure(i, *a);
                 self.no_gate_after_measure(i, *b);
-                // A compiler-inserted cross-module swap is emitted as exactly
-                // three consecutive identical fiber gates (three MS
-                // interactions = one SWAP). The triple pattern must win over
-                // gate coverage: an inserted swap often routes *for* a ready
-                // source gate on the very same pair, and covering that gate
-                // here would mis-execute the DAG and cascade. A genuine
-                // covering fiber gate is never tripled — the scheduler emits
-                // one op per remote gate, and identical consecutive source
-                // gates chain in the DAG (only one is ready at a time).
-                if ops.get(i + 1) == Some(op) && ops.get(i + 2) == Some(op) {
+                // A compiler-inserted cross-module swap is emitted as three
+                // identical consecutive fiber gates (three MS interactions =
+                // one SWAP), but so is a chain of identical source gates on
+                // the pair (e.g. a Toffoli's trailing `cx(a,b)` and an
+                // uncompute `cx(a,b)` once lowering hoists the single-qubit
+                // gates between them). A swap exchanges the pair, so every
+                // later op on it states the exchanged zones: a swap can only
+                // *end* a run of identical ops. A run of `n >= 3` is thus
+                // either `n` source gates or `n - 3` source gates and a
+                // trailing swap, and the zones the next later op claims for
+                // `a`/`b` tell which. The swap reading must not fall back to
+                // coverage while a claim decides: an inserted swap may well
+                // meet a ready source gate on the same pair. Only when no
+                // later op decides (neither qubit is placed again) does the
+                // DAG: a ready gate left after the `n - 3` prefix is a source
+                // gate no later op could cover. The run's ops are identical,
+                // so the checks above hold for all of them.
+                let pair = (*a, *b);
+                let zones = [*zone_a, *zone_b];
+                let run = ops[i..].iter().take_while(|&next| next == op).count();
+                if run < 3 {
+                    self.cover_fiber(dag, newly_ready, i, pair, zones);
+                    return 1;
+                }
+                let sources = run - 3;
+                for k in 0..sources {
+                    self.cover_fiber(dag, newly_ready, i + k, pair, zones);
+                }
+                let exchanged = self
+                    .swap_votes
+                    .get(i + run - 1)
+                    .copied()
+                    .flatten()
+                    .unwrap_or_else(|| dag.ready_node_on(*a, *b).is_none());
+                if exchanged {
                     let za = self.qubit_zone[a.index()];
                     self.qubit_zone[a.index()] = self.qubit_zone[b.index()];
                     self.qubit_zone[b.index()] = za;
                     // One ion moves each way: occupancies are unchanged.
-                    return 3;
+                } else {
+                    for k in sources..run {
+                        self.cover_fiber(dag, newly_ready, i + k, pair, zones);
+                    }
                 }
-                if self.cover(dag, newly_ready, i, *a, *b, CoverKind::Fiber) {
-                    return 1;
-                }
-                self.report(
-                    Some(i),
-                    ViolationKind::MalformedInsertedSwap { a: *a, b: *b },
-                    &[*a, *b],
-                    &[*zone_a, *zone_b],
-                );
-                1
+                run
             }
             ScheduledOp::Shuttle {
                 qubit,

@@ -142,9 +142,9 @@ pub enum ViolationKind {
         /// Second operand.
         b: QubitId,
     },
-    /// A `FiberGate` with no ready source gate must be a compiler-inserted
-    /// cross-module swap — exactly three consecutive identical fiber gates —
-    /// and this one is not.
+    /// A `FiberGate` read as a source gate (it is not the tail of a run of
+    /// identical fiber gates that later ops show to be an inserted
+    /// cross-module swap) has no ready source gate to cover.
     MalformedInsertedSwap {
         /// First operand.
         a: QubitId,
